@@ -215,7 +215,7 @@ impl Response {
 
     /// Serialize and send (adds `Content-Length` and `Connection:
     /// close`).
-    pub fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
+    pub fn write_to(&self, stream: &mut impl Write) -> std::io::Result<()> {
         let mut out = format!(
             "HTTP/1.1 {} {}\r\n",
             self.status,
@@ -236,7 +236,7 @@ impl Response {
 /// Begin a chunked response (the NDJSON event stream). Follow with
 /// [`write_chunk`] per line and [`finish_chunked`] to terminate.
 pub fn start_chunked(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     content_type: &str,
 ) -> std::io::Result<()> {
@@ -251,7 +251,7 @@ pub fn start_chunked(
 
 /// Send one chunk (flushes — subscribers see events live, not when a
 /// buffer happens to fill).
-pub fn write_chunk(stream: &mut TcpStream, data: &[u8]) -> std::io::Result<()> {
+pub fn write_chunk(stream: &mut impl Write, data: &[u8]) -> std::io::Result<()> {
     if data.is_empty() {
         return Ok(()); // a zero-length chunk would terminate the stream
     }
@@ -262,7 +262,7 @@ pub fn write_chunk(stream: &mut TcpStream, data: &[u8]) -> std::io::Result<()> {
 }
 
 /// Terminate a chunked response.
-pub fn finish_chunked(stream: &mut TcpStream) -> std::io::Result<()> {
+pub fn finish_chunked(stream: &mut impl Write) -> std::io::Result<()> {
     stream.write_all(b"0\r\n\r\n")?;
     stream.flush()
 }
